@@ -2,10 +2,11 @@
 
 Runs a fixed-seed mini-matrix (every execution mode on two dataset
 profiles, plus OCA / static-algorithm / SSSP cells) and records each run's
-per-batch ``RunMetrics`` exactly.  ``tests/test_pipeline_parity.py`` pins
-the live pipeline against this record, so any refactor of the dispatch or
-staging layers that perturbs modeled results — even in the last float bit —
-is caught.
+per-batch ``RunMetrics`` exactly, plus — for incremental PageRank cells —
+the sha256 of the final rank vector.  ``tests/test_pipeline_parity.py`` pins
+the live pipeline against this record, so any refactor of the dispatch,
+staging or compute layers that perturbs modeled results or ranks — even in
+the last float bit — is caught.
 
 Regenerate (only when an intentional model change lands)::
 
@@ -14,6 +15,7 @@ Regenerate (only when an intentional model change lands)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,6 +73,19 @@ def cell_key(cell: dict) -> str:
     )
 
 
+def rank_sha256(pipeline) -> str | None:
+    """sha256 of the pipeline's final incremental-PageRank rank vector
+    (float64 bytes in vertex order), or None when the cell runs no
+    incremental PageRank."""
+    import numpy as np
+
+    engine = pipeline._incremental_pr
+    if engine is None:
+        return None
+    ranks = np.asarray(engine.values, dtype=np.float64)
+    return hashlib.sha256(ranks.tobytes()).hexdigest()
+
+
 def run_cell(cell: dict) -> dict:
     """Run one cell with a fresh pipeline and serialize its RunMetrics."""
     from repro.compute.oca import OCAConfig
@@ -102,7 +117,7 @@ def run_cell(cell: dict) -> dict:
         **kwargs,
     )
     metrics = pipeline.run(cell["num_batches"])
-    return {
+    record = {
         "mode": metrics.mode,
         "batches": [
             {
@@ -118,6 +133,10 @@ def run_cell(cell: dict) -> dict:
             for b in metrics.batches
         ],
     }
+    ranks = rank_sha256(pipeline)
+    if ranks is not None:
+        record["rank_sha256"] = ranks
+    return record
 
 
 def capture() -> dict:

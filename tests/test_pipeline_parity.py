@@ -6,7 +6,10 @@ record bit-for-bit.
 the fixed-seed mini-matrix (all execution modes on two dataset profiles,
 plus OCA, static-algorithm and SSSP cells) must still serialize to exactly
 the recorded floats — any refactor of the dispatch or staging layers that
-perturbs modeled results, even in the last bit, fails here.
+perturbs modeled results, even in the last bit, fails here.  Incremental
+PageRank cells also pin the sha256 of the final rank vector (added later,
+captured before the contribution-cache kernel), so compute-kernel work is
+guarded on the ranks themselves and not only on modeled time.
 
 Regenerate the record only when an intentional model change lands::
 
@@ -76,8 +79,33 @@ def serialize(metrics) -> dict:
     }
 
 
+def assert_matches_golden(config: RunConfig, cell: dict) -> None:
+    """Run ``config`` and compare its RunMetrics and final PR ranks with
+    the golden record of ``cell``."""
+    pipeline = config.build_pipeline()
+    try:
+        metrics = pipeline.run(config.num_batches)
+        ranks = capture_parity.rank_sha256(pipeline)
+    finally:
+        close = getattr(pipeline, "close", None)
+        if close is not None:  # sharded pipelines own worker processes
+            close()
+    expected = dict(GOLDEN[capture_parity.cell_key(cell)])
+    expected_ranks = expected.pop("rank_sha256", None)
+    # JSON round-trip our side too so float comparison is repr-exact on
+    # both: identical modeled results serialize to identical documents.
+    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert ranks == expected_ranks
+
+
 def test_golden_covers_every_cell():
     assert set(GOLDEN) == {capture_parity.cell_key(cell) for cell in CELLS}
+
+
+def test_golden_pins_ranks_of_every_pr_cell():
+    for cell in CELLS:
+        record = GOLDEN[capture_parity.cell_key(cell)]
+        assert ("rank_sha256" in record) == (cell["algorithm"] == "pr")
 
 
 @pytest.mark.parametrize("adjacency", ["dict", "hybrid"])
@@ -91,11 +119,7 @@ def test_cell_matches_golden(cell, adjacency):
     import dataclasses
 
     config = dataclasses.replace(config_for(cell), adjacency=adjacency)
-    metrics = config.run()
-    expected = GOLDEN[capture_parity.cell_key(cell)]
-    # JSON round-trip our side too so float comparison is repr-exact on
-    # both: identical modeled results serialize to identical documents.
-    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert_matches_golden(config, cell)
 
 
 _FB_CELLS = [c for c in CELLS if c["dataset"] == "fb"]
@@ -117,9 +141,7 @@ def test_cell_matches_golden_sharded(cell, adjacency):
     config = dataclasses.replace(
         config_for(cell), num_shards=2, adjacency=adjacency
     )
-    metrics = config.run()
-    expected = GOLDEN[capture_parity.cell_key(cell)]
-    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert_matches_golden(config, cell)
 
 
 _TRANSPORTS = ["inproc", "shm", "tcp"]
@@ -141,9 +163,7 @@ def test_matrix_gate_transport_policy_two_shards(transport, policy, adjacency):
         config_for(cell), num_shards=2, adjacency=adjacency,
         shard_transport=transport, shard_policy=policy,
     )
-    metrics = config.run()
-    expected = GOLDEN[capture_parity.cell_key(cell)]
-    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert_matches_golden(config, cell)
 
 
 @pytest.mark.parametrize("policy", _POLICIES)
@@ -157,9 +177,7 @@ def test_matrix_gate_transport_policy_four_shards(transport, policy):
         config_for(cell), num_shards=4,
         shard_transport=transport, shard_policy=policy,
     )
-    metrics = config.run()
-    expected = GOLDEN[capture_parity.cell_key(cell)]
-    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert_matches_golden(config, cell)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +191,7 @@ def test_full_telemetry_never_perturbs_modeled_results(cell):
     import dataclasses
 
     config = dataclasses.replace(config_for(cell), telemetry="full")
-    metrics = config.run()
-    expected = GOLDEN[capture_parity.cell_key(cell)]
-    assert json.loads(json.dumps(serialize(metrics))) == expected
+    assert_matches_golden(config, cell)
 
 
 @pytest.mark.parametrize(
