@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..datasets.stream import Batch
 from ..errors import ConfigurationError
 from ..graph.base import DynamicGraph
@@ -54,7 +55,7 @@ class StaticBFS:
                 touched_edges += len(targets)
                 neighbors.append(targets)
             if neighbors:
-                candidates = np.unique(np.concatenate(neighbors))
+                candidates = sorted_unique(np.concatenate(neighbors))
                 fresh = candidates[levels[candidates] < 0]
             else:
                 fresh = np.empty(0, dtype=np.int64)

@@ -84,6 +84,18 @@ class IncrementalPageRank:
     State persists across batches; each :meth:`on_batch` call localizes the
     recomputation around the affected vertices.
 
+    The pull loop reads a per-vertex contribution cache instead of looking
+    up each in-neighbor's out-degree per edge: ``_contrib[u]`` always equals
+    ``values[u] / outdeg(u)`` (0.0 for vertices without out-edges), is
+    written together with ``values[v]``, and is refreshed at each round's
+    entry for every vertex whose out-degree changed since the last round.
+    Each cached value is the same IEEE division a per-edge
+    ``values[u] / outdeg(u)`` computes, and the pull adds contributions
+    left to right in in-adjacency order, so ranks are bit-identical to a
+    loop that divides per edge (``tests/test_pagerank_oracle.py`` keeps
+    one as the oracle).  The cache is derived state: it is left out of
+    pickles and rebuilt on first use.
+
     Args:
         graph: the dynamic graph the pipeline maintains.
         damping: damping factor.
@@ -106,6 +118,46 @@ class IncrementalPageRank:
         self.max_rounds = max_rounds
         self._base = (1.0 - damping) / graph.num_vertices
         self.values: list[float] = [self._base] * graph.num_vertices
+        self._contrib: np.ndarray | None = None
+        self._deg_seen: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_contrib"], state["_deg_seen"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._contrib = None
+        self._deg_seen = None
+
+    def _refresh_contrib(self) -> None:
+        """Bring the contribution cache in line with the current out-degrees.
+
+        Only vertices whose out-degree changed since the last round are
+        rewritten, whether or not they are in this round's affected set.
+        """
+        degrees = self.graph.out_degrees()
+        if self._contrib is None:
+            self._deg_seen = degrees.copy()
+            self._contrib = np.zeros(self.graph.num_vertices)
+            self._write_contrib(np.flatnonzero(degrees))
+            return
+        changed = np.flatnonzero(degrees != self._deg_seen)
+        if len(changed):
+            self._deg_seen[changed] = degrees[changed]
+            self._contrib[changed] = 0.0
+            self._write_contrib(changed[degrees[changed] > 0])
+
+    def _write_contrib(self, verts: np.ndarray) -> None:
+        """``contrib[v] = values[v] / outdeg(v)`` for ``verts`` (all with
+        out-edges); float64 division, so bit-equal to the scalar one."""
+        ranks = np.fromiter(
+            map(self.values.__getitem__, verts.tolist()),
+            dtype=np.float64,
+            count=len(verts),
+        )
+        self._contrib[verts] = ranks / self._deg_seen[verts]
 
     def on_batch(self, affected) -> ComputeCounters:
         """Propagate rank changes outward from the affected vertices.
@@ -118,9 +170,14 @@ class IncrementalPageRank:
         Returns:
             Work counters of this round.
         """
+        self._refresh_contrib()
         out_adj, in_adj = self.graph.adjacency_views()
         empty: dict[int, float] = {}
         values = self.values
+        # memoryviews index to plain Python floats/ints without numpy
+        # scalar boxing.
+        contrib = memoryview(self._contrib)
+        out_deg = memoryview(self._deg_seen)
         base = self._base
         damping = self.damping
         tolerance = self.tolerance
@@ -138,21 +195,22 @@ class IncrementalPageRank:
             force_push = rounds == 1
             touched_vertices += len(frontier)
             for v in frontier:
+                # Left-to-right accumulation in in-adjacency order is part of
+                # the bit-identical contract: no sum()/fsum/np.sum here.
                 total = 0.0
                 in_nbrs = in_adj.get(v, empty)
                 for u in in_nbrs:
-                    deg = len(out_adj.get(u, empty))
-                    if deg:
-                        total += values[u] / deg
+                    total += contrib[u]
                 touched_edges += len(in_nbrs)
                 new_value = base + damping * total
-                if force_push or abs(new_value - values[v]) > tolerance:
-                    values[v] = new_value
+                moved = force_push or abs(new_value - values[v]) > tolerance
+                values[v] = new_value
+                deg = out_deg[v]
+                contrib[v] = new_value / deg if deg else 0.0
+                if moved:
                     out_nbrs = out_adj.get(v, empty)
                     touched_edges += len(out_nbrs)
                     next_frontier.update(out_nbrs)
-                else:
-                    values[v] = new_value
             frontier = next_frontier
         return ComputeCounters(
             iterations=rounds,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..errors import ConfigurationError
 
 __all__ = ["Batch", "EdgeStream", "batches_from_arrays"]
@@ -85,7 +86,7 @@ class Batch:
 
     def unique_vertices(self) -> np.ndarray:
         """Sorted unique vertex ids touched by the batch (either endpoint)."""
-        return np.unique(np.concatenate([self.src, self.dst]))
+        return sorted_unique(np.concatenate([self.src, self.dst]))
 
     def in_degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex in-degree inside the batch.

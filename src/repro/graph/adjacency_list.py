@@ -25,7 +25,13 @@ from itertools import compress, repeat
 import numpy as np
 
 from ..datasets.stream import Batch
-from .base import BatchUpdateStats, DirectionStats, DynamicGraph, GraphDelta
+from .base import (
+    BatchUpdateStats,
+    DirectionStats,
+    DynamicGraph,
+    GraphDelta,
+    adjacency_degrees,
+)
 
 __all__ = ["AdjacencyListGraph"]
 
@@ -90,6 +96,9 @@ class AdjacencyListGraph(DynamicGraph):
     ) -> tuple[dict[int, dict[int, float]], dict[int, dict[int, float]]]:
         return self._out, self._in
 
+    def out_degrees(self) -> np.ndarray:
+        return self._deg_out
+
     def vertices_with_edges(self) -> list[int]:
         """Vertices with at least one incident edge (treat as read-only).
 
@@ -117,12 +126,7 @@ class AdjacencyListGraph(DynamicGraph):
         self._touched = set(self._out).union(self._in)
         self._touched_sorted = None
         for degrees, adjacency in ((self._deg_out, self._out), (self._deg_in, self._in)):
-            degrees[:] = 0
-            if adjacency:
-                verts = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
-                degrees[verts] = np.fromiter(
-                    map(len, adjacency.values()), dtype=np.int64, count=len(adjacency)
-                )
+            degrees[:] = adjacency_degrees(adjacency, self.num_vertices)
         if self._track:
             # The journal did not see these mutations; poison it so the next
             # consume_delta() forces a full snapshot rebuild.

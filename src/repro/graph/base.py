@@ -21,6 +21,17 @@ from ..errors import VertexOutOfRangeError
 __all__ = ["DirectionStats", "BatchUpdateStats", "GraphDelta", "DynamicGraph"]
 
 
+def adjacency_degrees(adjacency, num_vertices: int) -> np.ndarray:
+    """Per-vertex entry counts of a vertex -> {neighbor: weight} mapping."""
+    degrees = np.zeros(num_vertices, dtype=np.int64)
+    if len(adjacency):
+        verts = np.fromiter(adjacency.keys(), dtype=np.int64, count=len(adjacency))
+        degrees[verts] = np.fromiter(
+            map(len, adjacency.values()), dtype=np.int64, count=len(adjacency)
+        )
+    return degrees
+
+
 @dataclass
 class GraphDelta:
     """Changes to one adjacency direction since the last snapshot.
@@ -167,6 +178,17 @@ class DynamicGraph(abc.ABC):
         mappings so those loops avoid per-neighbor method dispatch.  Callers
         must treat the returned mappings as read-only.
         """
+
+    def out_degrees(self) -> np.ndarray:
+        """Out-degree of every vertex as an ``int64`` array (read-only).
+
+        Structures that maintain degree bookkeeping return their live array
+        (no copy: it changes as later batches apply, and callers must not
+        write to it).  The default derives a fresh array from
+        :meth:`adjacency_views`.
+        """
+        out_adj, __ = self.adjacency_views()
+        return adjacency_degrees(out_adj, self.num_vertices)
 
     def consume_phase_overhead(self) -> float:
         """Structure-specific maintenance time accrued by the last batch.

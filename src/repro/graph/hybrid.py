@@ -48,6 +48,7 @@ from itertools import compress
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..datasets.stream import Batch
 from ..telemetry.core import as_telemetry
 from .adjacency_list import AdjacencyListGraph, _empty_direction_stats
@@ -452,7 +453,7 @@ class HybridAdjacencyGraph(DynamicGraph):
         crossed = verts[d.hub_mask[verts] & (d.deg[verts] <= floor)]
         if not len(crossed):
             return
-        demoted = np.unique(crossed)
+        demoted = sorted_unique(crossed)
         for v in demoted.tolist():
             self._demote(d, v)
         if self._tel.enabled:
@@ -516,6 +517,9 @@ class HybridAdjacencyGraph(DynamicGraph):
 
     def in_degree(self, v: int) -> int:
         return int(self._ind.deg[v])
+
+    def out_degrees(self) -> np.ndarray:
+        return self._outd.deg
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if edge u->v is currently present."""
@@ -1149,7 +1153,7 @@ class HybridAdjacencyGraph(DynamicGraph):
                 rem_target_parts.append(ht[hhit])
             # Demotions may compact/relocate the pool; finish before the
             # array-class gather reads slice starts.
-            self._demote_crossed(d, np.unique(ho), direction)
+            self._demote_crossed(d, sorted_unique(ho), direction)
         arr_pair = ~hub_pair
         if arr_pair.any():
             ao = owners[arr_pair]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..arrays import sorted_unique
 from ..compute.cost_model import compute_round_time
 from ..compute.oca import OCAConfig, OCAController
 from ..compute.registry import ALGORITHMS, AlgorithmContext, get_algorithm
@@ -298,7 +299,9 @@ class StreamingPipeline:
             ctx.deferred = observation.defer_compute and not ctx.final
         affected = ctx.batch.unique_vertices()
         if self._pending_affected is not None:
-            affected = np.union1d(affected, self._pending_affected)
+            affected = sorted_unique(
+                np.concatenate((affected, self._pending_affected))
+            )
         ctx.affected = affected
         ctx.covered = self._pending_batches + [ctx.batch]
 
@@ -309,7 +312,10 @@ class StreamingPipeline:
             self._pending_batches = ctx.covered
             ctx.compute_time = 0.0
             return
-        counters = self.compute.on_round(ctx.batch, ctx.affected, ctx.covered)
+        with self.telemetry.span(f"compute.{self.algorithm}.round"):
+            counters = self.compute.on_round(
+                ctx.batch, ctx.affected, ctx.covered
+            )
         ctx.compute_time = (
             0.0
             if counters is None

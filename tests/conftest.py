@@ -24,6 +24,32 @@ def make_batch(src, dst, weight=None, batch_id=0, is_delete=None):
     return Batch(batch_id=batch_id, src=src, dst=dst, weight=weight, is_delete=is_delete)
 
 
+def legacy_pickle(obj) -> bytes:
+    """Pickle ``obj`` in the format written before incremental PageRank
+    kept a contribution cache: every engine travels as its plain attribute
+    dict, minus the cache attributes (``_contrib``, ``_deg_seen``)."""
+    import copyreg
+    import io
+    import pickle
+
+    from repro.compute.pagerank import IncrementalPageRank
+
+    class LegacyPickler(pickle.Pickler):
+        def reducer_override(self, o):
+            if type(o) is IncrementalPageRank:
+                state = {
+                    name: value
+                    for name, value in vars(o).items()
+                    if name not in ("_contrib", "_deg_seen")
+                }
+                return copyreg.__newobj__, (IncrementalPageRank,), state
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    LegacyPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return buffer.getvalue()
+
+
 @pytest.fixture
 def tiny_graph():
     """A 32-vertex empty adjacency-list graph."""

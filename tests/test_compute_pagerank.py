@@ -1,9 +1,11 @@
 """PageRank: static power iteration and incremental frontier propagation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from conftest import make_batch
+from conftest import legacy_pickle, make_batch
 from repro.compute.pagerank import IncrementalPageRank, StaticPageRank
 from repro.errors import ConfigurationError
 from repro.graph.adjacency_list import AdjacencyListGraph
@@ -105,3 +107,39 @@ def test_static_counts_iterations_and_work():
     __, counters = StaticPageRank(tolerance=1e-10).run(take_snapshot(graph))
     assert counters.touched_vertices == counters.iterations * graph.num_vertices
     assert counters.touched_edges == counters.iterations * graph.num_edges
+
+
+def _ranked_engine(batches):
+    graph = AdjacencyListGraph(500)
+    engine = IncrementalPageRank(graph)
+    for batch in batches:
+        graph.apply_batch(batch)
+        engine.on_batch(batch.unique_vertices())
+    return engine
+
+
+def test_pickle_leaves_out_contribution_cache(small_generator):
+    """The contribution cache is derived state: a pickled engine is
+    byte-identical to the pre-cache format, so checkpoints do not grow."""
+    batches = [small_generator.generate_batch(i, 300) for i in range(3)]
+    engine = _ranked_engine(batches)
+    assert engine._contrib is not None
+    payload = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+    assert payload == legacy_pickle(engine)
+    restored = pickle.loads(payload)
+    assert restored._contrib is None and restored._deg_seen is None
+    assert restored.values == engine.values
+
+
+def test_legacy_pickle_resumes_bit_identical(small_generator):
+    """An engine pickled without the cache attributes rebuilds them on its
+    first round and continues with bit-identical ranks and counters."""
+    batches = [small_generator.generate_batch(i, 300) for i in range(6)]
+    engine = _ranked_engine(batches[:3])
+    restored = pickle.loads(legacy_pickle(engine))
+    for batch in batches[3:]:
+        engine.graph.apply_batch(batch)
+        restored.graph.apply_batch(batch)
+        affected = batch.unique_vertices()
+        assert restored.on_batch(affected) == engine.on_batch(affected)
+        assert restored.values == engine.values
