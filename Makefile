@@ -32,12 +32,16 @@ test-faults:
 	pytest tests/test_faults.py tests/test_checkpoint.py -m "" -q
 
 # End-to-end observability smoke: record an instrumented trace, then make
-# sure the analyzer can read it back (the `repro report` acceptance loop).
+# sure the analyzer can read it back (the `repro report` acceptance loop);
+# once update-only and once with incremental PageRank.
 report-smoke:
 	@tmp=$$(mktemp -d) && \
 	python -m repro run fb --batch-size 500 --num-batches 3 \
 		--algorithm none --mode abr_usc --trace $$tmp/run.jsonl >/dev/null && \
 	python -m repro report $$tmp/run.jsonl >/dev/null && \
+	python -m repro run fb --batch-size 500 --num-batches 3 \
+		--algorithm pr --mode abr_usc --trace $$tmp/pr.jsonl >/dev/null && \
+	python -m repro report $$tmp/pr.jsonl >/dev/null && \
 	rm -rf $$tmp && echo "report-smoke: OK"
 
 # Cross-process timeline smoke: a 2-shard tcp run must yield a Chrome

@@ -316,11 +316,18 @@ class StreamingPipeline:
             counters = self.compute.on_round(
                 ctx.batch, ctx.affected, ctx.covered
             )
-        ctx.compute_time = (
-            0.0
-            if counters is None
-            else compute_round_time(counters, self.compute_costs, self.machine)
-        )
+        if counters is None:
+            ctx.compute_time = 0.0
+        else:
+            ctx.compute_time = compute_round_time(
+                counters, self.compute_costs, self.machine
+            )
+            # Per-round work histograms (recorded at full telemetry only).
+            tel = self.telemetry
+            prefix = f"compute.{self.algorithm}."
+            tel.observe(prefix + "touched_vertices", counters.touched_vertices)
+            tel.observe(prefix + "touched_edges", counters.touched_edges)
+            tel.observe(prefix + "iterations", counters.iterations)
         self._pending_affected = None
         self._pending_batches = []
 

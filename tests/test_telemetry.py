@@ -234,6 +234,43 @@ def test_pipeline_records_stages_counters_and_ledger(flat_profile):
     assert abr.input("threshold") is not None
 
 
+def test_compute_rounds_record_work_histograms(flat_profile):
+    """Full telemetry observes each compute round's ``ComputeCounters``
+    into ``compute.<algo>.*`` histograms; basic telemetry records none."""
+    from repro.compute.algorithms import PageRankAlgorithm
+    from repro.pipeline.runner import StreamingPipeline
+    from repro.update.engine import UpdatePolicy
+
+    rounds = []
+    original = PageRankAlgorithm.on_round
+
+    def recording(self, batch, affected, covered):
+        counters = original(self, batch, affected, covered)
+        rounds.append(counters)
+        return counters
+
+    PageRankAlgorithm.on_round = recording
+    try:
+        tel = Telemetry("full")
+        StreamingPipeline(
+            flat_profile, 200, "pr", UpdatePolicy.ABR_USC, telemetry=tel
+        ).run(4)
+        basic = Telemetry("basic")
+        StreamingPipeline(
+            flat_profile, 200, "pr", UpdatePolicy.ABR_USC, telemetry=basic
+        ).run(2)
+    finally:
+        PageRankAlgorithm.on_round = original
+    hists = tel.snapshot().histograms
+    for field in ("touched_vertices", "touched_edges", "iterations"):
+        hist = hists[f"compute.pr.{field}"]
+        observed = [getattr(c, field) for c in rounds[:4]]
+        assert hist.count == 4
+        assert hist.total == sum(observed)
+        assert (hist.min, hist.max) == (min(observed), max(observed))
+    assert not [name for name in basic.snapshot().histograms if name.startswith("compute.")]
+
+
 def test_oca_decisions_reach_ledger(skewed_profile):
     from repro.compute.oca import OCAConfig
     from repro.pipeline.runner import StreamingPipeline
